@@ -9,6 +9,7 @@
 package csvx
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -78,13 +79,32 @@ func Encode(header []string, rows [][]string) []byte {
 }
 
 // Scanner iterates rows of CSV data, reporting each row's byte range.
+//
+// Scan only finds where each field of the row starts and ends; a field's
+// string is built the first time Field or Fields asks for it, so a caller
+// that reads three columns of a sixteen-column row allocates three
+// strings. Every field is copied out of data rather than aliased, so a
+// field kept after the scan does not pin the whole input.
 type Scanner struct {
-	data   []byte
-	pos    int64
+	data  []byte
+	pos   int
+	spans []span
+	// vals[i] holds field i once spans[i].done.
+	vals   []string
 	fields []string
+	buf    []byte
 	first  int64
 	last   int64
 	err    error
+}
+
+// span is one field of the current row. A plain field is exactly the
+// bytes data[a:b]. An escaped one (a "" escape, a \r outside quotes, or
+// text around a quoted part) is decoded from a by unquote.
+type span struct {
+	a, b    int
+	escaped bool
+	done    bool
 }
 
 // NewScanner returns a scanner over data.
@@ -92,80 +112,159 @@ func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
 
 // Scan advances to the next row, returning false at end of input or error.
 func (s *Scanner) Scan() bool {
-	if s.err != nil || s.pos >= int64(len(s.data)) {
+	if s.err != nil || s.pos >= len(s.data) {
 		return false
 	}
-	s.fields = s.fields[:0]
-	s.first = s.pos
-	var field strings.Builder
-	inQuotes := false
-	startedQuoted := false
-	fieldHasData := false
-	flush := func() {
-		s.fields = append(s.fields, field.String())
-		field.Reset()
-		fieldHasData = false
-		startedQuoted = false
+	s.spans = s.spans[:0]
+	s.first = int64(s.pos)
+	d := s.data
+	line := d[s.pos:]
+	if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+		line = line[:nl]
 	}
-	for s.pos < int64(len(s.data)) {
-		c := s.data[s.pos]
+	if bytes.IndexByte(line, '"') < 0 && bytes.IndexByte(line, '\r') < 0 {
+		// No quote can open on this line, so it is the whole row and its
+		// fields are exactly the runs between commas.
+		a, end := s.pos, s.pos+len(line)
+		for i := a; i < end; i++ {
+			if d[i] == ',' {
+				s.spans = append(s.spans, span{a: a, b: i})
+				a = i + 1
+			}
+		}
+		s.spans = append(s.spans, span{a: a, b: end})
+		s.last = int64(end) - 1
+		s.pos = min(end+1, len(d))
+		return true
+	}
+	for {
+		end, ok := s.nextField(s.pos)
+		if !ok {
+			s.pos = len(d)
+			s.err = fmt.Errorf("csvx: unterminated quoted field at offset %d", s.first)
+			return false
+		}
+		if end == len(d) {
+			// Final row without trailing newline.
+			s.pos = end
+			s.last = int64(end) - 1
+			return true
+		}
+		s.pos = end + 1
+		if d[end] == '\n' {
+			s.last = int64(end) - 1
+			if s.last >= 1 && d[s.last] == '\r' {
+				s.last--
+			}
+			return true
+		}
+	}
+}
+
+// nextField appends the span of the field that starts at a. It returns
+// the index of the byte that ends the field (',' or '\n', or len(data) at
+// end of input), and false if the field leaves a quote open at end of
+// input. Unquoted fields and quoted fields without escapes are found in
+// one run; anything else takes the byte-at-a-time rules of unquote.
+func (s *Scanner) nextField(a int) (int, bool) {
+	d := s.data
+	if a < len(d) && d[a] == '"' {
+		if j := bytes.IndexByte(d[a+1:], '"'); j >= 0 {
+			q := a + 1 + j
+			if q+1 == len(d) || d[q+1] == ',' || d[q+1] == '\n' {
+				s.spans = append(s.spans, span{a: a + 1, b: q})
+				return q + 1, true
+			}
+		}
+	} else {
+		i := a
+		for i < len(d) && d[i] != ',' && d[i] != '\n' && d[i] != '\r' {
+			i++
+		}
+		if i == len(d) || d[i] != '\r' {
+			s.spans = append(s.spans, span{a: a, b: i})
+			return i, true
+		}
+	}
+	end, buf, ok := unquote(d, a, s.buf[:0])
+	s.buf = buf
+	if ok {
+		s.spans = append(s.spans, span{a: a, b: end, escaped: true})
+	}
+	return end, ok
+}
+
+// unquote applies the field rules byte by byte from a: a quote opens a
+// quoted part only as the field's first data byte, "" inside quotes is a
+// literal quote, and \r outside quotes is dropped. It appends the decoded
+// field to buf and returns the index of the byte that ends the field, and
+// false if a quote is still open at end of input.
+func unquote(d []byte, a int, buf []byte) (int, []byte, bool) {
+	inQuotes, hasData := false, false
+	i := a
+	for ; i < len(d); i++ {
+		c := d[i]
 		if inQuotes {
 			if c == '"' {
-				if s.pos+1 < int64(len(s.data)) && s.data[s.pos+1] == '"' {
-					field.WriteByte('"')
-					s.pos += 2
+				if i+1 < len(d) && d[i+1] == '"' {
+					buf = append(buf, '"')
+					i++
 					continue
 				}
 				inQuotes = false
-				s.pos++
 				continue
 			}
-			field.WriteByte(c)
-			s.pos++
+			buf = append(buf, c)
 			continue
 		}
 		switch c {
 		case '"':
-			if !fieldHasData {
-				inQuotes = true
-				startedQuoted = true
-				fieldHasData = true
+			if hasData {
+				buf = append(buf, c)
 			} else {
-				field.WriteByte(c)
+				inQuotes, hasData = true, true
 			}
-			s.pos++
-		case ',':
-			flush()
-			s.pos++
+		case ',', '\n':
+			return i, buf, true
 		case '\r':
-			s.pos++
-		case '\n':
-			s.last = s.pos - 1
-			if s.last >= 1 && s.data[s.last] == '\r' {
-				s.last--
-			}
-			s.pos++
-			flush()
-			return true
 		default:
-			field.WriteByte(c)
-			fieldHasData = true
-			s.pos++
+			buf = append(buf, c)
+			hasData = true
 		}
 	}
-	if inQuotes {
-		s.err = fmt.Errorf("csvx: unterminated quoted field at offset %d", s.first)
-		return false
+	return i, buf, !inQuotes
+}
+
+// NumFields returns the number of fields in the current row.
+func (s *Scanner) NumFields() int { return len(s.spans) }
+
+// Field returns field i of the current row. The string is built on the
+// first call for each row and reused after that.
+func (s *Scanner) Field(i int) string {
+	sp := &s.spans[i]
+	if !sp.done {
+		if len(s.vals) < len(s.spans) {
+			s.vals = make([]string, len(s.spans))
+		}
+		if sp.escaped {
+			_, s.buf, _ = unquote(s.data, sp.a, s.buf[:0])
+			s.vals[i] = string(s.buf)
+		} else {
+			s.vals[i] = string(s.data[sp.a:sp.b])
+		}
+		sp.done = true
 	}
-	_ = startedQuoted
-	// Final row without trailing newline.
-	s.last = int64(len(s.data)) - 1
-	flush()
-	return true
+	return s.vals[i]
 }
 
 // Fields returns the current row's fields; valid until the next Scan.
-func (s *Scanner) Fields() []string { return s.fields }
+func (s *Scanner) Fields() []string {
+	s.fields = s.fields[:0]
+	for i := range s.spans {
+		s.fields = append(s.fields, s.Field(i))
+	}
+	return s.fields
+}
 
 // Range returns the inclusive byte range of the current row (newline
 // excluded).

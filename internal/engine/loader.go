@@ -90,7 +90,7 @@ func BuildIndexTable(st *store.Store, bucket, table, column string) error {
 		for sc.Scan() {
 			first, last := sc.Range()
 			rows = append(rows, []string{
-				sc.Fields()[col],
+				sc.Field(col),
 				fmt.Sprint(first),
 				fmt.Sprint(last),
 			})

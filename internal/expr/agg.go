@@ -21,6 +21,7 @@ type AggState struct {
 	count   int64
 	sumI    int64
 	sumF    *big.Float // exact finite sum; non-nil once a float arrives
+	spare   *big.Float // add's destination, swapped with sumF
 	tmp     big.Float  // reusable operand, keeps the hot path allocation-free
 	isFloat bool
 	sumNaN  bool // a NaN entered the sum (or infinities of mixed sign)
@@ -57,7 +58,7 @@ func (a *AggState) addFloat(f float64) {
 		}
 		a.sumInf = s
 	default:
-		a.sumF.Add(a.sumF, a.tmp.SetFloat64(f))
+		a.add(a.tmp.SetFloat64(f))
 	}
 }
 
@@ -91,7 +92,7 @@ func (a *AggState) Add(v value.Value) error {
 		switch v.Kind() {
 		case value.KindInt:
 			if a.isFloat {
-				a.sumF.Add(a.sumF, a.tmp.SetInt64(v.AsInt()))
+				a.add(a.tmp.SetInt64(v.AsInt()))
 			} else {
 				a.sumI += v.AsInt()
 			}
@@ -119,6 +120,17 @@ func (a *AggState) Add(v value.Value) error {
 	return nil
 }
 
+// add sets the exact sum to sum + x. big.Float allocates a temporary
+// whenever the destination aliases an operand, so the sum goes into the
+// spare accumulator and the two swap.
+func (a *AggState) add(x *big.Float) {
+	if a.spare == nil {
+		a.spare = new(big.Float).SetPrec(sumPrec)
+	}
+	a.spare.Add(a.sumF, x)
+	a.sumF, a.spare = a.spare, a.sumF
+}
+
 // Merge combines another accumulator of the same function (used when
 // partition-parallel scans each keep a local state).
 func (a *AggState) Merge(b *AggState) error {
@@ -135,7 +147,7 @@ func (a *AggState) Merge(b *AggState) error {
 		}
 		if a.isFloat {
 			if b.isFloat {
-				a.sumF.Add(a.sumF, b.sumF)
+				a.add(b.sumF)
 				a.sumNaN = a.sumNaN || b.sumNaN
 				if b.sumInf != 0 {
 					if a.sumInf != 0 && a.sumInf != b.sumInf {
@@ -144,7 +156,7 @@ func (a *AggState) Merge(b *AggState) error {
 					a.sumInf = b.sumInf
 				}
 			} else {
-				a.sumF.Add(a.sumF, a.tmp.SetInt64(b.sumI))
+				a.add(a.tmp.SetInt64(b.sumI))
 			}
 		} else {
 			a.sumI += b.sumI

@@ -406,3 +406,22 @@ func TestQuickModuloNonNegative(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAggFloatSumAllocs gates the exact float sum's hot path: once both
+// accumulators have grown, adding a float or an int allocates nothing.
+func TestAggFloatSumAllocs(t *testing.T) {
+	sum := NewAggState(sqlparse.AggSum)
+	for i := 0; i < 100; i++ { // grow both accumulators
+		_ = sum.Add(value.Float(float64(i) * 1e-3))
+		_ = sum.Add(value.Float(float64(i) * 1e9))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		_ = sum.Add(value.Float(float64(i) * 0.01))
+		_ = sum.Add(value.Int(int64(i)))
+	})
+	if allocs != 0 {
+		t.Errorf("exact float SUM allocates %.1f times per pair of rows, want 0", allocs)
+	}
+}

@@ -185,12 +185,11 @@ func BuildPartition(data []byte, column string) ([]byte, error) {
 	}
 	var rows []idxRow
 	for sc.Scan() {
-		fields := sc.Fields()
-		if col >= len(fields) {
-			return nil, fmt.Errorf("index: row with %d fields, column %q is #%d", len(fields), column, col+1)
+		if col >= sc.NumFields() {
+			return nil, fmt.Errorf("index: row with %d fields, column %q is #%d", sc.NumFields(), column, col+1)
 		}
 		first, last := sc.Range()
-		rows = append(rows, idxRow{val: fields[col], first: first, last: last})
+		rows = append(rows, idxRow{val: sc.Field(col), first: first, last: last})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

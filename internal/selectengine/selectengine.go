@@ -269,25 +269,50 @@ func CountNodes(sel *sqlparse.Select) int64 {
 }
 
 // rowEnv adapts a CSV row to the expression evaluator. All fields are
-// strings, exactly as S3 Select sees CSV data.
+// strings, exactly as S3 Select sees CSV data. A field is materialized only
+// when the evaluator first asks for it, so a row that WHERE rejects builds
+// only its predicate columns.
 type rowEnv struct {
-	index  map[string]int
-	fields []string
+	cols *columns
+	sc   *csvx.Scanner
 }
 
 func (r *rowEnv) Lookup(_, name string) (value.Value, bool) {
-	i, ok := r.index[strings.ToLower(name)]
+	i, ok := r.cols.resolve(name)
 	if !ok {
 		return value.Null(), false
 	}
-	if i >= len(r.fields) {
+	if i >= r.sc.NumFields() {
 		return value.Null(), true
 	}
-	f := r.fields[i]
+	f := r.sc.Field(i)
 	if f == "" {
 		return value.Null(), true
 	}
 	return value.Str(f), true
+}
+
+// columns resolves column names to positions: case-insensitively by
+// header name, or as S3 Select's positional _N. Each spelling is resolved
+// once per request and remembered.
+type columns struct {
+	index   map[string]int // lower-cased header and positional names
+	spelled map[string]int // names as looked up; -1 for unknown
+}
+
+func newColumns(header []string) *columns {
+	return &columns{index: headerIndex(header), spelled: map[string]int{}}
+}
+
+func (c *columns) resolve(name string) (int, bool) {
+	i, ok := c.spelled[name]
+	if !ok {
+		if i, ok = c.index[strings.ToLower(name)]; !ok {
+			i = -1
+		}
+		c.spelled[name] = i
+	}
+	return i, i >= 0
 }
 
 func headerIndex(header []string) map[string]int {
@@ -313,7 +338,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		}
 		header = append(header, sc.Fields()...)
 	}
-	env := &rowEnv{index: headerIndex(header)}
+	env := &rowEnv{cols: newColumns(header), sc: sc}
 
 	exec, err := newExecutor(sel, ev, header)
 	if err != nil {
@@ -339,8 +364,9 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		}
 		lastScannedEnd = last + 1
 		stats.RowsScanned++
-		stats.CellsDecoded += int64(len(sc.Fields()))
-		env.fields = sc.Fields()
+		// The paper's CSV cost model charges every column of a scanned
+		// row, materialized or not.
+		stats.CellsDecoded += int64(sc.NumFields())
 		done, err := exec.row(env)
 		if err != nil {
 			return nil, err
@@ -390,10 +416,10 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	// The footer always has to be read.
 	stats.BytesScanned = footerBytes(data)
 
-	env := &colEnv{index: headerIndex(header)}
+	env := &colEnv{cols: newColumns(header)}
 scan:
 	for g := 0; g < r.NumRowGroups(); g++ {
-		if skipGroup(r, g, sel.Where, env.index) {
+		if skipGroup(r, g, sel.Where, env.cols.index) {
 			continue
 		}
 		cols := make(map[int][]value.Value, len(needed))
@@ -410,7 +436,7 @@ scan:
 		for i := 0; i < nRows; i++ {
 			stats.RowsScanned++
 			stats.CellsDecoded += int64(len(needed))
-			env.cols = cols
+			env.vals = cols
 			env.row = i
 			env.nCols = len(header)
 			done, err := exec.row(env)
@@ -510,18 +536,18 @@ func skipGroup(r *colformat.Reader, g int, where sqlparse.Expr, idx map[string]i
 
 // colEnv adapts one row of decoded column chunks.
 type colEnv struct {
-	index map[string]int
-	cols  map[int][]value.Value
+	cols  *columns
+	vals  map[int][]value.Value
 	row   int
 	nCols int
 }
 
 func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
-	i, ok := c.index[strings.ToLower(name)]
+	i, ok := c.cols.resolve(name)
 	if !ok {
 		return value.Null(), false
 	}
-	col, ok := c.cols[i]
+	col, ok := c.vals[i]
 	if !ok {
 		return value.Null(), false // not loaded -> not referenced
 	}
@@ -542,6 +568,7 @@ type executor struct {
 	groupKeys []string
 
 	rows            [][]string
+	width           int // columns of a projected row
 	returned        int64
 	terminatedEarly bool
 }
@@ -553,6 +580,13 @@ type groupState struct {
 
 func newExecutor(sel *sqlparse.Select, ev *expr.Evaluator, header []string) (*executor, error) {
 	ex := &executor{sel: sel, ev: ev, header: header}
+	for _, it := range sel.Items {
+		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+			ex.width += len(header)
+		} else {
+			ex.width++
+		}
+	}
 	if len(sel.GroupBy) > 0 {
 		ex.groupMode = true
 		ex.groups = map[string]*groupState{}
@@ -625,6 +659,9 @@ func (ex *executor) groupRow(env expr.Env) error {
 
 func (ex *executor) project(env expr.Env) ([]string, error) {
 	var out []string
+	if ex.width > 0 {
+		out = make([]string, 0, ex.width)
+	}
 	for _, it := range ex.sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			for i := range ex.header {

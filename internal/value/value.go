@@ -193,13 +193,55 @@ func FormatDays(days int64) string {
 	return t.Format("2006-01-02")
 }
 
-// ParseDate parses YYYY-MM-DD into a DATE value.
+// ParseDate parses YYYY-MM-DD into a DATE value. A well-formed date is
+// computed from its digits; anything else goes to time.Parse, which
+// accepts exactly the same dates and words the error.
 func ParseDate(s string) (Value, error) {
+	if LooksLikeDate(s) {
+		y := int(s[0]-'0')*1000 + int(s[1]-'0')*100 + int(s[2]-'0')*10 + int(s[3]-'0')
+		m := int(s[5]-'0')*10 + int(s[6]-'0')
+		d := int(s[8]-'0')*10 + int(s[9]-'0')
+		if m >= 1 && m <= 12 && d >= 1 && d <= daysIn(y, m) {
+			return Date(daysFromCivil(y, m, d)), nil
+		}
+	}
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return Null(), fmt.Errorf("value: bad date %q: %w", s, err)
 	}
 	return Date(t.Unix() / 86400), nil
+}
+
+// daysIn returns the number of days in month m of year y (proleptic
+// Gregorian calendar, as time uses).
+func daysIn(y, m int) int {
+	switch m {
+	case 2:
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}
+
+// daysFromCivil returns the days from 1970-01-01 to y-m-d (H. Hinnant's
+// days_from_civil: years counted from March, in 400-year eras).
+func daysFromCivil(y, m, d int) int64 {
+	if m <= 2 {
+		y--
+	}
+	era := y
+	if era < 0 {
+		era -= 399
+	}
+	era /= 400
+	yoe := y - era*400
+	doy := (153*((m+9)%12)+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return int64(era*146097 + doe - 719468)
 }
 
 // LooksLikeDate reports whether s has the YYYY-MM-DD shape.
@@ -230,13 +272,65 @@ func FromCSV(field string) Value {
 			return v
 		}
 	}
-	if i, err := strconv.ParseInt(field, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, err := strconv.ParseFloat(field, 64); err == nil {
-		return Float(f)
+	if shape := numShape(field); shape != notNum {
+		if shape == intShape {
+			if i, err := strconv.ParseInt(field, 10, 64); err == nil {
+				return Int(i)
+			}
+		}
+		if f, err := strconv.ParseFloat(field, 64); err == nil {
+			return Float(f)
+		}
 	}
 	return Str(field)
+}
+
+// Number shapes that numShape tells apart.
+const (
+	notNum     = iota
+	intShape   // [+-]digits: ParseInt first, ParseFloat on overflow
+	floatShape // might be a float; ParseFloat decides
+)
+
+// numShape classifies s by its bytes, so that strconv, whose failures
+// allocate an error, only sees strings it might accept. Every string
+// ParseInt(s, 10, 64) accepts is intShape and every string ParseFloat
+// accepts is intShape or floatShape (FuzzNumShape checks both); strconv
+// stays the judge of what actually parses.
+func numShape(s string) int {
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	if i == len(s) {
+		return notNum
+	}
+	if c := s[i]; (c < '0' || c > '9') && c != '.' {
+		r := s[i:]
+		if strings.EqualFold(r, "inf") || strings.EqualFold(r, "infinity") || strings.EqualFold(r, "nan") {
+			return floatShape
+		}
+		return notNum
+	}
+	shape := intShape
+	for j := i; j < len(s); j++ {
+		c := s[j]
+		lc := c | 0x20 // ASCII lower case
+		switch {
+		case '0' <= c && c <= '9':
+		case c == '+' || c == '-':
+			// Past the first byte, a sign only follows an exponent mark.
+			if p := s[j-1] | 0x20; p != 'e' && p != 'p' {
+				return notNum
+			}
+			shape = floatShape
+		case c == '.', c == '_', 'a' <= lc && lc <= 'f', lc == 'x', lc == 'p':
+			shape = floatShape
+		default:
+			return notNum
+		}
+	}
+	return shape
 }
 
 // CastInt implements CAST(x AS INT).
@@ -355,7 +449,11 @@ func Compare(a, b Value) int {
 
 func coerceNum(v Value) (float64, bool) {
 	if v.kind == KindString {
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		s := strings.TrimSpace(v.s)
+		if numShape(s) == notNum {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		return f, err == nil
 	}
 	return v.Num()
