@@ -1,69 +1,17 @@
-// Vectorized-vs-row local operator benchmarks (see docs/ARCHITECTURE.md,
-// "Vectorized execution"): each benchmark runs one local operator over a
-// materialized TPC-H lineitem/part at SF 0.01 through both execution
-// paths. cmd/benchvec times the same harness cases outside the testing
-// framework and writes BENCH_vec.json.
+// Query tracing overhead benchmark: cmd/benchvec times the same fixture
+// outside the testing framework and writes BENCH_vec.json.
 //
-//	go test -bench=BenchmarkVec -benchtime=10x
+//	go test -bench=BenchmarkTraceOverhead -benchtime=10x
 package pushdowndb_test
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"pushdowndb/internal/harness"
 )
 
 const vecBenchSF = 0.01
-
-var (
-	vecFixtureOnce sync.Once
-	vecFixture     *harness.VecBenchFixture
-	vecFixtureErr  error
-)
-
-func vecBenchFixture(b *testing.B) *harness.VecBenchFixture {
-	b.Helper()
-	vecFixtureOnce.Do(func() {
-		vecFixture, vecFixtureErr = harness.NewVecBenchFixture(context.Background(), vecBenchSF)
-	})
-	if vecFixtureErr != nil {
-		b.Fatal(vecFixtureErr)
-	}
-	return vecFixture
-}
-
-func benchVecCase(b *testing.B, name string) {
-	f := vecBenchFixture(b)
-	for _, c := range harness.VecBenchCases() {
-		if c.Name != name {
-			continue
-		}
-		for _, path := range []struct {
-			label      string
-			vectorized bool
-		}{{"row", false}, {"vec", true}} {
-			b.Run(path.label, func(b *testing.B) {
-				rows := 0
-				for i := 0; i < b.N; i++ {
-					n, err := c.Run(f, path.vectorized)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows = n
-				}
-				b.ReportMetric(float64(rows), "out_rows")
-			})
-		}
-		return
-	}
-	b.Fatalf("no vec bench case %q", name)
-}
-
-func BenchmarkVecFilter(b *testing.B)  { benchVecCase(b, "filter") }
-func BenchmarkVecGroupBy(b *testing.B) { benchVecCase(b, "groupby") }
-func BenchmarkVecJoin(b *testing.B)    { benchVecCase(b, "join") }
 
 // BenchmarkTraceOverhead pins the cost of query tracing: the same pushed
 // filter + aggregate with and without an obs.Trace in context. The "off"

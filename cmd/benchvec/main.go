@@ -1,16 +1,12 @@
-// Command benchvec times the vectorized local operators against the
-// row-at-a-time reference over a materialized TPC-H lineitem/part and
-// writes the comparison to a JSON report (BENCH_vec.json by default).
+// Command benchvec measures query tracing overhead: the same pushed
+// filter + aggregate over TPC-H lineitem, with and without an obs.Trace in
+// context, written to a JSON report (BENCH_vec.json by default).
 //
 //	benchvec                      # SF 0.01, write BENCH_vec.json
-//	benchvec -sf 0.002 -check     # CI smoke: exit non-zero if vec is slower
+//	benchvec -sf 0.002 -check     # CI smoke: exit non-zero on overhead
 //
-// With -check the command verifies both paths return identical row counts
-// and exits 1 if any case's vectorized run is slower than its row run —
-// the regression guard CI runs at tiny scale on every push. The same run
-// measures tracing overhead (the fixture query with and without an
-// obs.Trace in context) and fails -check if the traced run exceeds the
-// untraced by more than 50%.
+// With -check the command exits 1 if the traced run exceeds the untraced
+// by more than 50%.
 package main
 
 import (
@@ -24,13 +20,6 @@ import (
 	"pushdowndb/internal/harness"
 )
 
-// CaseReport is one operator's measurement in the JSON report.
-type CaseReport struct {
-	RowNsPerOp int64   `json:"row_ns_per_op"`
-	VecNsPerOp int64   `json:"vec_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
 // TraceReport is the tracing-overhead measurement: the same query end to
 // end with and without an obs.Trace in context.
 type TraceReport struct {
@@ -41,50 +30,19 @@ type TraceReport struct {
 
 // Report is the BENCH_vec.json layout.
 type Report struct {
-	SF    float64               `json:"sf"`
-	Cases map[string]CaseReport `json:"cases"`
-	Trace TraceReport           `json:"trace"`
+	SF    float64     `json:"sf"`
+	Trace TraceReport `json:"trace"`
 }
 
 func main() {
 	var (
 		sf    = flag.Float64("sf", 0.01, "TPC-H scale factor for the fixture")
 		out   = flag.String("o", "BENCH_vec.json", "report path (empty = stdout only)")
-		check = flag.Bool("check", false, "exit non-zero if any vectorized case is slower than its row twin")
+		check = flag.Bool("check", false, "exit non-zero if tracing overhead is above 50%")
 	)
 	flag.Parse()
 
-	fixture, err := harness.NewVecBenchFixture(context.Background(), *sf)
-	if err != nil {
-		fatal(err)
-	}
-	if err := harness.VecBenchVerify(fixture); err != nil {
-		fatal(err)
-	}
-
-	report := Report{SF: *sf, Cases: map[string]CaseReport{}}
-	slower := false
-	for _, c := range harness.VecBenchCases() {
-		time := func(vectorized bool) int64 {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(fixture, vectorized); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			return r.NsPerOp()
-		}
-		row, vec := time(false), time(true)
-		cr := CaseReport{RowNsPerOp: row, VecNsPerOp: vec, Speedup: float64(row) / float64(vec)}
-		report.Cases[c.Name] = cr
-		fmt.Printf("%-8s row %12d ns/op   vec %12d ns/op   %.2fx\n", c.Name, row, vec, cr.Speedup)
-		// 10% tolerance: the CI smoke runs at tiny scale where per-op
-		// times are microseconds and scheduler noise is real.
-		if float64(vec) > float64(row)*1.10 {
-			slower = true
-		}
-	}
+	report := Report{SF: *sf}
 
 	// Tracing overhead: the full query with and without a trace in
 	// context. The gate is generous (50%) because the smoke runs a
@@ -131,9 +89,6 @@ func main() {
 		os.Stdout.Write(data)
 	}
 
-	if *check && slower {
-		fatal(fmt.Errorf("vectorized path slower than row path (see report above)"))
-	}
 	if *check && tracingSlow {
 		fatal(fmt.Errorf("tracing overhead above 50%% (see report above)"))
 	}

@@ -32,15 +32,8 @@ func (w *Writer) Offset() int64 { return w.off }
 // of the row's bytes excluding the trailing newline, matching the paper's
 // |value|first_byte_offset|last_byte_offset| index-table convention.
 func (w *Writer) WriteRow(fields []string) (first, last int64, err error) {
-	w.buf = w.buf[:0]
-	for i, f := range fields {
-		if i > 0 {
-			w.buf = append(w.buf, ',')
-		}
-		w.buf = appendField(w.buf, f)
-	}
-	rowLen := int64(len(w.buf))
-	w.buf = append(w.buf, '\n')
+	w.buf = appendRow(w.buf[:0], fields)
+	rowLen := int64(len(w.buf)) - 1
 	if _, err := w.w.Write(w.buf); err != nil {
 		return 0, 0, err
 	}
@@ -51,7 +44,7 @@ func (w *Writer) WriteRow(fields []string) (first, last int64, err error) {
 }
 
 func appendField(buf []byte, f string) []byte {
-	if !strings.ContainsAny(f, ",\"\n\r") {
+	if !needsQuotes(f) {
 		return append(buf, f...)
 	}
 	buf = append(buf, '"')
@@ -65,18 +58,50 @@ func appendField(buf []byte, f string) []byte {
 	return append(buf, '"')
 }
 
-// Encode renders rows (with optional header) to a byte slice.
+// Encode renders rows (with optional header) to a byte slice, sized
+// exactly and allocated once.
 func Encode(header []string, rows [][]string) []byte {
-	var sb strings.Builder
-	w := NewWriter(&sb)
+	n := 0
 	if header != nil {
-		_, _, _ = w.WriteRow(header)
+		n += rowLen(header)
 	}
 	for _, r := range rows {
-		_, _, _ = w.WriteRow(r)
+		n += rowLen(r)
 	}
-	return []byte(sb.String())
+	buf := make([]byte, 0, n)
+	if header != nil {
+		buf = appendRow(buf, header)
+	}
+	for _, r := range rows {
+		buf = appendRow(buf, r)
+	}
+	return buf
 }
+
+// appendRow appends one encoded row and its newline.
+func appendRow(buf []byte, fields []string) []byte {
+	for i, f := range fields {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendField(buf, f)
+	}
+	return append(buf, '\n')
+}
+
+// rowLen is the length appendRow adds for fields.
+func rowLen(fields []string) int {
+	n := max(len(fields), 1) // separators and the newline
+	for _, f := range fields {
+		n += len(f)
+		if needsQuotes(f) {
+			n += 2 + strings.Count(f, `"`)
+		}
+	}
+	return n
+}
+
+func needsQuotes(f string) bool { return strings.ContainsAny(f, ",\"\n\r") }
 
 // Scanner iterates rows of CSV data, reporting each row's byte range.
 //

@@ -1,6 +1,7 @@
 package csvx
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -196,5 +197,21 @@ func TestQuickRangesSliceToRows(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodeAllocs: Encode sizes its output exactly and allocates it once.
+func TestEncodeAllocs(t *testing.T) {
+	header := []string{"id", "name", "note"}
+	rows := [][]string{{}, {""}}
+	for i := 0; i < 200; i++ {
+		rows = append(rows, []string{fmt.Sprint(i), `O"Hara, "Al"`, "line\nbreak\r"})
+	}
+	want := len(Encode(header, rows))
+	if got := cap(Encode(header, rows)); got != want {
+		t.Errorf("Encode capacity %d, want exactly its length %d", got, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { Encode(header, rows) }); n != 1 {
+		t.Errorf("Encode made %v allocations, want 1", n)
 	}
 }

@@ -51,12 +51,6 @@ type DB struct {
 	// connection limit). Zero means one goroutine per partition.
 	MaxScanParallel int
 
-	// vectorized selects the batched columnar local operator path (the
-	// default). WithVectorized(false) pins the row-at-a-time operators —
-	// the two paths are byte-identical by contract, so the row path
-	// survives as the differential-testing reference.
-	vectorized bool
-
 	// statsCache holds planner table statistics keyed by
 	// backend/bucket/table/filter/index-predicate, so repeated queries plan
 	// from cached stats instead of re-issuing COUNT(*) probes.
@@ -250,29 +244,18 @@ func WithScanSharing(cfg scanshare.Config) Option {
 	}
 }
 
-// WithVectorized selects between the vectorized (default) and
-// row-at-a-time local operator paths. The results are byte-identical;
-// WithVectorized(false) exists for differential tests and benchmarks.
-func WithVectorized(on bool) Option {
-	return func(db *DB) error {
-		db.vectorized = on
-		return nil
-	}
-}
-
 // Open returns a DB over the named bucket with the paper's default cost
 // model and pricing. At least one backend must be registered via
 // WithBackend; the table catalog and the default backend must reference
 // registered names.
 func Open(bucket string, opts ...Option) (*DB, error) {
 	db := &DB{
-		bucket:     bucket,
-		backends:   map[string]s3api.Backend{},
-		catalog:    map[string]string{},
-		Cfg:        cloudsim.DefaultConfig(),
-		Pricing:    cloudsim.DefaultPricing(),
-		Sim:        cloudsim.Unit(),
-		vectorized: true,
+		bucket:   bucket,
+		backends: map[string]s3api.Backend{},
+		catalog:  map[string]string{},
+		Cfg:      cloudsim.DefaultConfig(),
+		Pricing:  cloudsim.DefaultPricing(),
+		Sim:      cloudsim.Unit(),
 	}
 	for _, o := range opts {
 		if err := o(db); err != nil {

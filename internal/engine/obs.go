@@ -84,19 +84,14 @@ func endSpanErr(sp *obs.Span, err error) {
 	sp.End()
 }
 
-// opSpan starts a span for one local operator dispatch, recording the
-// input cardinality and whether the vectorized or the row path ran.
+// opSpan starts a span for one local operator, recording its input
+// cardinality.
 func (e *Exec) opSpan(name string, rowsIn int) *obs.Span {
 	if e.trace == nil {
 		return nil
 	}
 	sp := e.beginSpan(name)
 	sp.SetInt("rows_in", int64(rowsIn))
-	if e.db.vectorized {
-		sp.SetStr("path", "vec")
-	} else {
-		sp.SetStr("path", "row")
-	}
 	return sp
 }
 

@@ -139,20 +139,6 @@ func GroupByLocal(rel *Relation, groupBy, items string) (*Relation, error) {
 	return GroupByLocalN(rel, groupBy, items, 1)
 }
 
-type groupKeyEnv struct {
-	exprs []sqlparse.Expr
-	vals  Row
-}
-
-func (g *groupKeyEnv) Lookup(_, name string) (value.Value, bool) {
-	for i, e := range g.exprs {
-		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
-			return g.vals[i], true
-		}
-	}
-	return value.Null(), false
-}
-
 // Concat appends other's rows (columns must match in count).
 func (r *Relation) Concat(other *Relation) error {
 	if len(r.Cols) == 0 {

@@ -291,3 +291,23 @@ func TestUntracedQueryNoSpans(t *testing.T) {
 		t.Error("nil trace snapshot must be nil")
 	}
 }
+
+// TestUntracedSpanHelpersAllocNothing: on an Exec with no trace, the span
+// helpers the engine calls around every phase and operator allocate
+// nothing.
+func TestUntracedSpanHelpersAllocNothing(t *testing.T) {
+	db, _ := threeTableDB(t)
+	e := db.NewExec()
+	rel := &Relation{Cols: []string{"a"}}
+	for name, fn := range map[string]func(){
+		"beginSpan": func() { _ = e.beginSpan("scan") },
+		"opSpan":    func() { endOpSpan(e.opSpan("filter", 123456789), rel, nil) },
+		"setSpanParent/restoreSpanParent": func() {
+			e.restoreSpanParent(e.setSpanParent(nil))
+		},
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s on an untraced Exec made %v allocations, want 0", name, n)
+		}
+	}
+}

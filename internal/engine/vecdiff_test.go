@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/colformat"
@@ -10,15 +13,45 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// Vectorized-vs-row differential suite: the same corpus the cross-backend
-// suite runs must produce byte-identical results on the vectorized local
-// operator path (the default) and the row-at-a-time path
-// (WithVectorized(false)), cold and warm, on both the in-process and the
-// localfs backends. This is the end-to-end pin of the vec package's
-// byte-identity contract; the operator-level twins are pinned in
-// internal/vec's own differential tests.
+// The corpus goldens are the answers the engine's former row-at-a-time
+// local operators gave, rendered with render(), recorded before those
+// operators were replaced by the internal/vec kernels. They are a fixed
+// reference: a mismatch is a change of answer, so they are never rewritten
+// from the code they check. Each file is a list of sections, a line
+// "== name" followed by the rendered relation.
 
+// goldenSections reads testdata/<file> into its named sections.
+func goldenSections(t *testing.T, file string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	parts := strings.Split("\n"+strings.TrimSuffix(string(data), "\n"), "\n== ")
+	for _, part := range parts[1:] {
+		name, body, _ := strings.Cut(part, "\n")
+		sections[name] = body
+	}
+	return sections
+}
+
+// checkGolden fails unless got equals the golden section name.
+func checkGolden(t *testing.T, golden map[string]string, name, got string) {
+	t.Helper()
+	want, ok := golden[name]
+	if !ok {
+		t.Errorf("%s: no golden section", name)
+	} else if got != want {
+		t.Errorf("%s: answer differs from the row-operator golden\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
+// TestVecRowDifferentialCorpus runs the cross-backend corpus on the
+// in-process and localfs backends, cold and warm (result cache on), and
+// pins every answer to the row-operator golden.
 func TestVecRowDifferentialCorpus(t *testing.T) {
+	golden := goldenSections(t, "corpus.golden")
 	backends := map[string]s3api.Backend{}
 	inproc := s3api.NewInProc(store.New())
 	diffLoad(t, inproc)
@@ -29,48 +62,19 @@ func TestVecRowDifferentialCorpus(t *testing.T) {
 
 	for name, backend := range backends {
 		t.Run(name, func(t *testing.T) {
-			dbVec, err := Open(diffBucket,
+			db, err := Open(diffBucket,
 				WithBackend(name, backend),
 				WithResultCache(testCacheBudget))
 			if err != nil {
 				t.Fatal(err)
 			}
-			dbRow, err := Open(diffBucket,
-				WithBackend(name, backend),
-				WithResultCache(testCacheBudget),
-				WithVectorized(false))
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, q := range diffQueries {
-				vecCold, _, err := dbVec.Query(q.sql)
-				if err != nil {
-					t.Fatalf("%s (vec cold): %v", q.name, err)
-				}
-				rowCold, _, err := dbRow.Query(q.sql)
-				if err != nil {
-					t.Fatalf("%s (row cold): %v", q.name, err)
-				}
-				vecOut, rowOut := render(vecCold, q.ordered), render(rowCold, q.ordered)
-				if vecOut != rowOut {
-					t.Errorf("%s: vectorized differs from row path (cold)\nvec:\n%s\nrow:\n%s",
-						q.name, vecOut, rowOut)
-				}
-				vecWarm, _, err := dbVec.Query(q.sql)
-				if err != nil {
-					t.Fatalf("%s (vec warm): %v", q.name, err)
-				}
-				rowWarm, _, err := dbRow.Query(q.sql)
-				if err != nil {
-					t.Fatalf("%s (row warm): %v", q.name, err)
-				}
-				if out := render(vecWarm, q.ordered); out != vecOut {
-					t.Errorf("%s: vectorized warm differs from cold\ncold:\n%s\nwarm:\n%s",
-						q.name, vecOut, out)
-				}
-				if out := render(rowWarm, q.ordered); out != rowOut {
-					t.Errorf("%s: row warm differs from cold\ncold:\n%s\nwarm:\n%s",
-						q.name, rowOut, out)
+				for _, pass := range []string{"cold", "warm"} {
+					rel, _, err := db.Query(q.sql)
+					if err != nil {
+						t.Fatalf("%s (%s): %v", q.name, pass, err)
+					}
+					checkGolden(t, golden, q.name, render(rel, q.ordered))
 				}
 			}
 		})
@@ -112,66 +116,49 @@ func columnarFixture(t *testing.T) *store.Store {
 	return st
 }
 
+// columnarQueries run over columnarFixture's table c.
+var columnarQueries = []struct {
+	name    string
+	sql     string
+	ordered bool
+}{
+	{"col-filter", "SELECT id, price FROM c WHERE price >= 20 AND code = '00501'", false},
+	{"col-date", "SELECT id FROM c WHERE ship >= '2022-01-05'", false},
+	{"col-null", "SELECT id FROM c WHERE price IS NULL", false},
+	{"col-group", "SELECT code, COUNT(*) AS n, SUM(price) AS s FROM c GROUP BY code ORDER BY code", true},
+	{"col-agg", "SELECT COUNT(*) AS n, AVG(price) AS av, MIN(ship) AS lo FROM c", false},
+}
+
 // TestVecRowColumnarTable pins the columnar decode path: queries over a
-// colformat table agree between the vectorized and row paths, the plain-GET
-// load path decodes the binary layout instead of mis-parsing it as CSV, and
+// colformat table match the row-operator golden, the plain-GET load path
+// decodes the binary layout instead of mis-parsing it as CSV, and
 // TableHeader answers from the footer schema.
 func TestVecRowColumnarTable(t *testing.T) {
-	st := columnarFixture(t)
-	queries := []struct {
-		name    string
-		sql     string
-		ordered bool
-	}{
-		{"col-filter", "SELECT id, price FROM c WHERE price >= 20 AND code = '00501'", false},
-		{"col-date", "SELECT id FROM c WHERE ship >= '2022-01-05'", false},
-		{"col-null", "SELECT id FROM c WHERE price IS NULL", false},
-		{"col-group", "SELECT code, COUNT(*) AS n, SUM(price) AS s FROM c GROUP BY code ORDER BY code", true},
-		{"col-agg", "SELECT COUNT(*) AS n, AVG(price) AS av, MIN(ship) AS lo FROM c", false},
+	golden := goldenSections(t, "columnar.golden")
+	db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(columnarFixture(t))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	open := func(vectorized bool) *DB {
-		db, err := Open(diffBucket,
-			WithBackend("inproc", s3api.NewInProc(st)),
-			WithVectorized(vectorized))
+	for _, q := range columnarQueries {
+		rel, _, err := db.Query(q.sql)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", q.name, err)
 		}
-		return db
-	}
-	dbVec, dbRow := open(true), open(false)
-	for _, q := range queries {
-		vecRel, _, err := dbVec.Query(q.sql)
-		if err != nil {
-			t.Fatalf("%s (vec): %v", q.name, err)
-		}
-		rowRel, _, err := dbRow.Query(q.sql)
-		if err != nil {
-			t.Fatalf("%s (row): %v", q.name, err)
-		}
-		if v, r := render(vecRel, q.ordered), render(rowRel, q.ordered); v != r {
-			t.Errorf("%s: vectorized differs from row path over columnar table\nvec:\n%s\nrow:\n%s",
-				q.name, v, r)
-		}
+		checkGolden(t, golden, q.name, render(rel, q.ordered))
 	}
 
 	// The server-side baseline fetches partitions whole with plain GETs;
 	// colformat objects must decode through the columnar reader.
-	vecRel, err := dbVec.NewExec().ServerSideFilter("c", "id < 10", "id, code")
+	rel, err := db.NewExec().ServerSideFilter("c", "id < 10", "id, code")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowRel, err := dbRow.NewExec().ServerSideFilter("c", "id < 10", "id, code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, r := render(vecRel, false), render(rowRel, false); v != r {
-		t.Errorf("ServerSideFilter over columnar table: vec\n%s\nrow\n%s", v, r)
-	}
-	if len(vecRel.Rows) != 10 {
-		t.Errorf("ServerSideFilter over columnar table kept %d rows, want 10", len(vecRel.Rows))
+	checkGolden(t, golden, "server-side-filter", render(rel, false))
+	if len(rel.Rows) != 10 {
+		t.Errorf("ServerSideFilter over columnar table kept %d rows, want 10", len(rel.Rows))
 	}
 
-	header, err := dbVec.NewExec().TableHeader("hdr", 0, "c")
+	header, err := db.NewExec().TableHeader("hdr", 0, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +209,9 @@ func TestProbeStatsColumnar(t *testing.T) {
 	}
 }
 
-// TestVecOperatorWrappers pins wrapper-level edge cases the vec package's
-// own differential tests cannot reach: the empty-predicate identity, the
-// empty-input aggregate synthesis and the ragged-relation fallback.
+// TestVecOperatorWrappers pins operator edge cases the vec package's own
+// tests cannot reach: the empty-predicate identity, the empty-input
+// aggregate row and the error every operator gives a ragged relation.
 func TestVecOperatorWrappers(t *testing.T) {
 	rel := &Relation{
 		Cols: []string{"a", "b"},
@@ -234,40 +221,43 @@ func TestVecOperatorWrappers(t *testing.T) {
 			{value.Int(3), value.Str("y")},
 		},
 	}
-	out, err := VecFilterLocalN(rel, "", 2)
+	out, err := FilterLocalN(rel, "", 2)
 	if err != nil || out != rel {
-		t.Errorf("VecFilterLocalN with empty predicate: got (%p, %v), want the input relation", out, err)
+		t.Errorf("FilterLocalN with empty predicate: got (%p, %v), want the input relation", out, err)
 	}
 
 	empty := &Relation{Cols: []string{"a", "b"}}
-	for _, items := range []string{"COUNT(*) AS n, SUM(a) AS s", "COUNT(*) + 0 AS n, AVG(a) AS av"} {
-		vecAgg, err := VecAggregateLocalN(empty, items, 2)
-		if err != nil {
-			t.Fatalf("VecAggregateLocalN(empty, %q): %v", items, err)
-		}
-		rowAgg, err := AggregateLocalN(empty, items, 2)
+	for items, want := range map[string]string{
+		"COUNT(*) AS n, SUM(a) AS s":      "n|s\n0|",
+		"COUNT(*) + 0 AS n, AVG(a) AS av": "n|av\n0|",
+	} {
+		agg, err := AggregateLocalN(empty, items, 2)
 		if err != nil {
 			t.Fatalf("AggregateLocalN(empty, %q): %v", items, err)
 		}
-		if v, r := render(vecAgg, true), render(rowAgg, true); v != r {
-			t.Errorf("empty-input aggregate %q: vec\n%s\nrow\n%s", items, v, r)
+		if got := render(agg, true); got != want {
+			t.Errorf("empty-input aggregate %q:\n%s\nwant:\n%s", items, got, want)
 		}
 	}
 
-	// Ragged rows must take the row path's short-row semantics via fallback.
 	ragged := &Relation{
-		Cols: []string{"a", "b"},
+		Cols: []string{"a", "b", "c"},
 		Rows: []Row{
-			{value.Int(1), value.Str("x")},
+			{value.Int(1), value.Str("x"), value.Int(5)},
 			{value.Int(2)},
 		},
 	}
-	vecOut, vecErr := VecFilterLocalN(ragged, "a >= 1", 2)
-	rowOut, rowErr := FilterLocalN(ragged, "a >= 1", 2)
-	if (vecErr == nil) != (rowErr == nil) {
-		t.Fatalf("ragged filter: vec err %v, row err %v", vecErr, rowErr)
-	}
-	if v, r := render(vecOut, false), render(rowOut, false); v != r {
-		t.Errorf("ragged filter: vec\n%s\nrow\n%s", v, r)
+	const want = "engine: ragged relation: row 1 has 1 values, want 3"
+	for name, op := range map[string]func() (*Relation, error){
+		"filter":     func() (*Relation, error) { return FilterLocalN(ragged, "a >= 1", 2) },
+		"project":    func() (*Relation, error) { return ProjectLocalN(ragged, "a, b", 2) },
+		"groupby":    func() (*Relation, error) { return GroupByLocalN(ragged, "a", "a, COUNT(*) AS n", 2) },
+		"aggregate":  func() (*Relation, error) { return AggregateLocalN(ragged, "SUM(a) AS s", 2) },
+		"join left":  func() (*Relation, error) { return HashJoinLocalN(ragged, rel, "a", "a", 2) },
+		"join right": func() (*Relation, error) { return HashJoinLocalN(rel, ragged, "a", "a", 2) },
+	} {
+		if out, err := op(); err == nil || err.Error() != want {
+			t.Errorf("%s over a ragged relation: (%v, %v), want error %q", name, out, err, want)
+		}
 	}
 }

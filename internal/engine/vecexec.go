@@ -4,22 +4,19 @@ import (
 	"fmt"
 
 	"pushdowndb/internal/sqlparse"
-	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
 )
 
-// The vectorized local operator path: each VecXxxLocalN is a drop-in twin
-// of XxxLocalN that decodes the relation into typed column vectors and
-// runs the internal/vec batched kernels. The twins parse the identical
-// SQL fragments, produce the identical error strings and return
-// byte-identical relations — the row path stays as the differential
-// reference (WithVectorized(false)) and as the fallback for ragged
-// relations, which the columnar layout cannot represent.
+// The local operators. Each decodes the columns it reads into typed
+// vectors and runs the internal/vec batched kernels. Results are
+// deterministic at any worker count. A relation must be rectangular
+// (every row as long as Cols); the engine's own decoders shape rows to
+// the header, and a ragged relation built by hand is an error.
 
 // referencedCols resolves every column the expressions reference against
-// the relation (first-match, case-insensitive — the row path's rule) and
+// the relation (first-match, case-insensitive, as Relation.ColIndex) and
 // returns the distinct column indices in first-seen order. Names that do
-// not resolve are dropped: they are lookup misses in both paths.
+// not resolve are dropped: the kernels report them as lookup misses.
 func referencedCols(rel *Relation, exprs []sqlparse.Expr) []int {
 	seen := map[int]bool{}
 	var keep []int
@@ -34,10 +31,10 @@ func referencedCols(rel *Relation, exprs []sqlparse.Expr) []int {
 	return keep
 }
 
-// VecFilterLocalN is the vectorized FilterLocalN. Kept rows share the
-// input's row slices, exactly like the row path; only the predicate's
-// columns are decoded into vectors.
-func VecFilterLocalN(rel *Relation, predicate string, workers int) (*Relation, error) {
+// FilterLocalN is FilterLocal partitioned across workers goroutines. Kept
+// rows share the input's row slices; only the predicate's columns are
+// decoded into vectors.
+func FilterLocalN(rel *Relation, predicate string, workers int) (*Relation, error) {
 	if predicate == "" {
 		return rel, nil
 	}
@@ -45,9 +42,9 @@ func VecFilterLocalN(rel *Relation, predicate string, workers int) (*Relation, e
 	if err != nil {
 		return nil, fmt.Errorf("engine: bad predicate %q: %w", predicate, err)
 	}
-	b, ok := vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, []sqlparse.Expr{pred}), workers)
-	if !ok {
-		return FilterLocalN(rel, predicate, workers)
+	b, err := vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, []sqlparse.Expr{pred}), workers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	idx, err := vec.Filter(b, pred, workers)
 	if err != nil {
@@ -60,15 +57,15 @@ func VecFilterLocalN(rel *Relation, predicate string, workers int) (*Relation, e
 	return out, nil
 }
 
-// VecProjectLocalN is the vectorized ProjectLocalN.
-func VecProjectLocalN(rel *Relation, items string, workers int) (*Relation, error) {
+// ProjectLocalN is ProjectLocal partitioned across workers goroutines.
+func ProjectLocalN(rel *Relation, items string, workers int) (*Relation, error) {
 	sel, err := sqlparse.Parse("SELECT " + items + " FROM t")
 	if err != nil {
 		return nil, fmt.Errorf("engine: bad projection %q: %w", items, err)
 	}
-	b, ok := projectionBatch(rel, sel, workers)
-	if !ok {
-		return ProjectLocalN(rel, items, workers)
+	b, err := projectionBatch(rel, sel, workers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	out, err := vec.Project(b, sel, workers)
 	if err != nil {
@@ -81,8 +78,9 @@ func VecProjectLocalN(rel *Relation, items string, workers int) (*Relation, erro
 	return rel2, nil
 }
 
-// VecGroupByLocalN is the vectorized GroupByLocalN.
-func VecGroupByLocalN(rel *Relation, groupBy, items string, workers int) (*Relation, error) {
+// GroupByLocalN is GroupByLocal partitioned across workers goroutines.
+// Groups come out in first-seen row order.
+func GroupByLocalN(rel *Relation, groupBy, items string, workers int) (*Relation, error) {
 	sel, err := sqlparse.Parse("SELECT " + items + " FROM t GROUP BY " + groupBy)
 	if err != nil {
 		return nil, fmt.Errorf("engine: bad group-by: %w", err)
@@ -92,9 +90,9 @@ func VecGroupByLocalN(rel *Relation, groupBy, items string, workers int) (*Relat
 		exprs = append(exprs, it.Expr)
 	}
 	exprs = append(exprs, sel.GroupBy...)
-	b, ok := vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, exprs), workers)
-	if !ok {
-		return GroupByLocalN(rel, groupBy, items, workers)
+	b, err := vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, exprs), workers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	cols, rows, err := vec.GroupBy(b, sel, workers)
 	if err != nil {
@@ -107,10 +105,11 @@ func VecGroupByLocalN(rel *Relation, groupBy, items string, workers int) (*Relat
 	return out, nil
 }
 
-// VecAggregateLocalN is the vectorized AggregateLocalN: the same
-// constant-key group-by trick, the same empty-input synthesis.
-func VecAggregateLocalN(rel *Relation, items string, workers int) (*Relation, error) {
-	out, err := VecGroupByLocalN(rel, "'all'", "'all' AS g, "+items, workers)
+// AggregateLocalN is AggregateLocal partitioned across workers
+// goroutines: a group-by on a constant key, with one row synthesized for
+// empty input.
+func AggregateLocalN(rel *Relation, items string, workers int) (*Relation, error) {
+	out, err := GroupByLocalN(rel, "'all'", "'all' AS g, "+items, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +123,10 @@ func VecAggregateLocalN(rel *Relation, items string, workers int) (*Relation, er
 	return trimmed, nil
 }
 
-// VecHashJoinLocalN is the vectorized HashJoinLocalN: key columns decode
-// to vectors for the build/probe kernel, joined rows concatenate the
-// original row slices in the row path's probe order.
-func VecHashJoinLocalN(left, right *Relation, leftKey, rightKey string, workers int) (*Relation, error) {
+// HashJoinLocalN is HashJoinLocal partitioned across workers goroutines:
+// the key columns decode to vectors for the build/probe kernel, and joined
+// rows concatenate the original row slices in probe-row order.
+func HashJoinLocalN(left, right *Relation, leftKey, rightKey string, workers int) (*Relation, error) {
 	li, ri := left.ColIndex(leftKey), right.ColIndex(rightKey)
 	if li < 0 {
 		return nil, fmt.Errorf("engine: join key %q not in left relation %v", leftKey, left.Cols)
@@ -135,12 +134,15 @@ func VecHashJoinLocalN(left, right *Relation, leftKey, rightKey string, workers 
 	if ri < 0 {
 		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
 	}
-	lk, lok := keyVector(left, li)
-	rk, rok := keyVector(right, ri)
-	if !lok || !rok {
-		return HashJoinLocalN(left, right, leftKey, rightKey, workers)
+	lb, err := vec.FromRowsProjected(left.Cols, left.Rows, []int{li}, workers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	bi, pi := vec.JoinPairs(lk, rk, workers)
+	rb, err := vec.FromRowsProjected(right.Cols, right.Rows, []int{ri}, workers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	bi, pi := vec.JoinPairs(lb.Vecs[0], rb.Vecs[0], workers)
 	out := &Relation{
 		Cols: append(append([]string{}, left.Cols...), right.Cols...),
 		Rows: make([]Row, len(bi)),
@@ -162,7 +164,7 @@ func VecHashJoinLocalN(left, right *Relation, leftKey, rightKey string, workers 
 
 // projectionBatch builds the batch a projection needs: the whole relation
 // when an item is *, only the referenced columns otherwise.
-func projectionBatch(rel *Relation, sel *sqlparse.Select, workers int) (*vec.Batch, bool) {
+func projectionBatch(rel *Relation, sel *sqlparse.Select, workers int) (*vec.Batch, error) {
 	var exprs []sqlparse.Expr
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
@@ -173,84 +175,40 @@ func projectionBatch(rel *Relation, sel *sqlparse.Select, workers int) (*vec.Bat
 	return vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, exprs), workers)
 }
 
-// keyVector extracts column c of a relation as a vector. ok is false for
-// rows too short to hold the column — those rows' keys are lookup misses
-// in the row path, which the fallback reproduces.
-func keyVector(rel *Relation, c int) (*vec.Vector, bool) {
-	vals := make([]value.Value, len(rel.Rows))
-	for i, r := range rel.Rows {
-		if c >= len(r) {
-			return nil, false
-		}
-		vals[i] = r[c]
-	}
-	return vec.FromValues(vals), true
-}
-
-// Dispatchers: the execution paths call these; WithVectorized(false)
-// pins the row path for differential testing.
+// The execution paths call the operators through these, which record one
+// span per operator.
 
 func (e *Exec) filterLocal(rel *Relation, predicate string, workers int) (*Relation, error) {
 	sp := e.opSpan("filter", len(rel.Rows))
-	var out *Relation
-	var err error
-	if e.db.vectorized {
-		out, err = VecFilterLocalN(rel, predicate, workers)
-	} else {
-		out, err = FilterLocalN(rel, predicate, workers)
-	}
+	out, err := FilterLocalN(rel, predicate, workers)
 	endOpSpan(sp, out, err)
 	return out, err
 }
 
 func (e *Exec) projectLocal(rel *Relation, items string, workers int) (*Relation, error) {
 	sp := e.opSpan("project", len(rel.Rows))
-	var out *Relation
-	var err error
-	if e.db.vectorized {
-		out, err = VecProjectLocalN(rel, items, workers)
-	} else {
-		out, err = ProjectLocalN(rel, items, workers)
-	}
+	out, err := ProjectLocalN(rel, items, workers)
 	endOpSpan(sp, out, err)
 	return out, err
 }
 
 func (e *Exec) groupByLocal(rel *Relation, groupBy, items string, workers int) (*Relation, error) {
 	sp := e.opSpan("groupby", len(rel.Rows))
-	var out *Relation
-	var err error
-	if e.db.vectorized {
-		out, err = VecGroupByLocalN(rel, groupBy, items, workers)
-	} else {
-		out, err = GroupByLocalN(rel, groupBy, items, workers)
-	}
+	out, err := GroupByLocalN(rel, groupBy, items, workers)
 	endOpSpan(sp, out, err)
 	return out, err
 }
 
 func (e *Exec) aggregateLocal(rel *Relation, items string, workers int) (*Relation, error) {
 	sp := e.opSpan("aggregate", len(rel.Rows))
-	var out *Relation
-	var err error
-	if e.db.vectorized {
-		out, err = VecAggregateLocalN(rel, items, workers)
-	} else {
-		out, err = AggregateLocalN(rel, items, workers)
-	}
+	out, err := AggregateLocalN(rel, items, workers)
 	endOpSpan(sp, out, err)
 	return out, err
 }
 
 func (e *Exec) hashJoinLocal(left, right *Relation, leftKey, rightKey string, workers int) (*Relation, error) {
 	sp := e.opSpan("hash join local", len(left.Rows)+len(right.Rows))
-	var out *Relation
-	var err error
-	if e.db.vectorized {
-		out, err = VecHashJoinLocalN(left, right, leftKey, rightKey, workers)
-	} else {
-		out, err = HashJoinLocalN(left, right, leftKey, rightKey, workers)
-	}
+	out, err := HashJoinLocalN(left, right, leftKey, rightKey, workers)
 	endOpSpan(sp, out, err)
 	return out, err
 }

@@ -410,7 +410,10 @@ func (ev *Evaluator) evalLike(t *sqlparse.Like, env Env) (value.Value, error) {
 			return value.Null(), fmt.Errorf("expr: LIKE pattern must be a string")
 		}
 		m = compileLike(p.AsString())
-		ev.likeCache[t] = m
+		// Only a literal pattern is the same on every row.
+		if _, lit := t.Pattern.(*sqlparse.Literal); lit {
+			ev.likeCache[t] = m
+		}
 	}
 	ok := m.match(x.String())
 	if t.Not {

@@ -210,6 +210,34 @@ func TestLikeMatcher(t *testing.T) {
 	}
 }
 
+// TestLikeColumnPattern: a LIKE whose pattern is a column is matched
+// against each row's own pattern, even when one evaluator serves every
+// row.
+func TestLikeColumnPattern(t *testing.T) {
+	e, err := sqlparse.ParseExpr("s LIKE p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := New()
+	for _, c := range []struct {
+		s, p string
+		want bool
+	}{
+		{"abc", "a%", true},
+		{"abc", "x%", false},
+		{"xyz", "x%", true},
+		{"xyz", "a%", false},
+	} {
+		got, err := ev.EvalBool(e, MapEnv{"s": value.Str(c.s), "p": value.Str(c.p)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.p, got, c.want)
+		}
+	}
+}
+
 func TestAggStates(t *testing.T) {
 	sum := NewAggState(sqlparse.AggSum)
 	for _, v := range []value.Value{value.Int(1), value.Int(2), value.Null(), value.Int(3)} {

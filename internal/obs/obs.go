@@ -109,11 +109,8 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// setAttr sets (replacing) the attribute under t.mu.
+// setAttr sets (replacing) the attribute under t.mu. s is not nil.
 func (s *Span) setAttr(key string, val any) {
-	if s == nil {
-		return
-	}
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
 	for i := range s.attrs {
@@ -125,14 +122,29 @@ func (s *Span) setAttr(key string, val any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
 }
 
+// The typed setters check for a nil span before boxing the value into an
+// Attr, so the untraced path allocates nothing.
+
 // SetInt sets an integer attribute (rows, bytes, partition counts).
-func (s *Span) SetInt(key string, v int64) { s.setAttr(key, v) }
+func (s *Span) SetInt(key string, v int64) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
 
 // SetFloat sets a float attribute (phase seconds, dollar cost).
-func (s *Span) SetFloat(key string, v float64) { s.setAttr(key, v) }
+func (s *Span) SetFloat(key string, v float64) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
 
 // SetStr sets a string attribute (cache/share outcome, strategy, sql).
-func (s *Span) SetStr(key, v string) { s.setAttr(key, v) }
+func (s *Span) SetStr(key, v string) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
 
 // AddInt accumulates onto an integer attribute, creating it at v. Safe
 // under concurrent partition fan-outs (trace-mutex serialized).

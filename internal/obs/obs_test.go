@@ -31,6 +31,27 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	}
 }
 
+// TestUntracedAllocsNothing: with no trace, every span method and the
+// context lookup allocate nothing, so untraced queries pay no garbage for
+// their span sites.
+func TestUntracedAllocsNothing(t *testing.T) {
+	var sp *Span
+	ctx := context.Background()
+	for name, fn := range map[string]func(){
+		"Child":       func() { _ = sp.Child("x") },
+		"End":         func() { sp.End() },
+		"SetInt":      func() { sp.SetInt("rows", 123456789) },
+		"SetStr":      func() { sp.SetStr("k", "v") },
+		"SetFloat":    func() { sp.SetFloat("sec", 1.5) },
+		"AddInt":      func() { sp.AddInt("rows", 123456789) },
+		"FromContext": func() { _ = FromContext(ctx) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s on the untraced path made %v allocations, want 0", name, n)
+		}
+	}
+}
+
 func TestContextRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	if FromContext(ctx) != nil {

@@ -293,15 +293,17 @@ func (r *rowEnv) Lookup(_, name string) (value.Value, bool) {
 }
 
 // columns resolves column names to positions: case-insensitively by
-// header name, or as S3 Select's positional _N. Each spelling is resolved
-// once per request and remembered.
+// header name, or as S3 Select's positional _N. Without a header only _N
+// resolves, to any position. Each spelling is resolved once per request
+// and remembered.
 type columns struct {
-	index   map[string]int // lower-cased header and positional names
-	spelled map[string]int // names as looked up; -1 for unknown
+	index    map[string]int // lower-cased header and positional names
+	headless bool
+	spelled  map[string]int // names as looked up; -1 for unknown
 }
 
-func newColumns(header []string) *columns {
-	return &columns{index: headerIndex(header), spelled: map[string]int{}}
+func newColumns(header []string, headless bool) *columns {
+	return &columns{index: headerIndex(header), headless: headless, spelled: map[string]int{}}
 }
 
 func (c *columns) resolve(name string) (int, bool) {
@@ -309,10 +311,28 @@ func (c *columns) resolve(name string) (int, bool) {
 	if !ok {
 		if i, ok = c.index[strings.ToLower(name)]; !ok {
 			i = -1
+			if c.headless {
+				i = position(name)
+			}
 		}
 		c.spelled[name] = i
 	}
 	return i, i >= 0
+}
+
+// position returns the index a positional name _N (N >= 1) names, or -1.
+func position(name string) int {
+	if len(name) < 2 || name[0] != '_' {
+		return -1
+	}
+	n := 0
+	for _, ch := range []byte(name[1:]) {
+		if ch < '0' || ch > '9' || n > 1<<20 {
+			return -1
+		}
+		n = n*10 + int(ch-'0')
+	}
+	return n - 1
 }
 
 func headerIndex(header []string) map[string]int {
@@ -338,11 +358,14 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		}
 		header = append(header, sc.Fields()...)
 	}
-	env := &rowEnv{cols: newColumns(header), sc: sc}
+	env := &rowEnv{cols: newColumns(header, !req.HasHeader), sc: sc}
 
 	exec, err := newExecutor(sel, ev, header)
 	if err != nil {
 		return nil, err
+	}
+	if !req.HasHeader {
+		exec.headless = env
 	}
 
 	var stats Stats
@@ -416,7 +439,7 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	// The footer always has to be read.
 	stats.BytesScanned = footerBytes(data)
 
-	env := &colEnv{cols: newColumns(header)}
+	env := &colEnv{cols: newColumns(header, false)}
 scan:
 	for g := 0; g < r.NumRowGroups(); g++ {
 		if skipGroup(r, g, sel.Where, env.cols.index) {
@@ -567,6 +590,11 @@ type executor struct {
 	groups    map[string]*groupState
 	groupKeys []string
 
+	// headless is set for a CSV object read without a header: * expands
+	// to each row's own fields, and starWidth is the most it returned.
+	headless  *rowEnv
+	starWidth int
+
 	rows            [][]string
 	width           int // columns of a projected row
 	returned        int64
@@ -664,6 +692,14 @@ func (ex *executor) project(env expr.Env) ([]string, error) {
 	}
 	for _, it := range ex.sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+			if ex.headless != nil {
+				sc := ex.headless.sc
+				for i := 0; i < sc.NumFields(); i++ {
+					out = append(out, sc.Field(i))
+				}
+				ex.starWidth = max(ex.starWidth, sc.NumFields())
+				continue
+			}
 			for i := range ex.header {
 				v, _ := env.Lookup("", ex.header[i])
 				out = append(out, v.String())
@@ -701,6 +737,9 @@ func (ex *executor) finish(stats *Stats) (*Result, error) {
 	for _, it := range ex.sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			res.Columns = append(res.Columns, ex.header...)
+			for i := 0; i < ex.starWidth; i++ {
+				res.Columns = append(res.Columns, fmt.Sprintf("_%d", i+1))
+			}
 			continue
 		}
 		res.Columns = append(res.Columns, itemName(it))

@@ -91,12 +91,20 @@ func TestCSVStatsPinned(t *testing.T) {
 			result: "990,3,1237.50,name-0990,40,quoted, note,1995-03-15,R,O,0.00,DELIVER IN PERSON,TRUCK,,2970,N,",
 		},
 		{
-			// Without a header, * has no column names to expand to, so
-			// each result row is empty.
-			name: "header-less select star",
-			data: bare,
-			req:  Request{SQL: "SELECT * FROM S3Object"},
-			want: pinnedStats{3510, 40, 640, 40, 0},
+			// Without a header, * expands to each row's own fields, as
+			// S3 Select does.
+			name:   "header-less select star",
+			data:   bare,
+			req:    Request{SQL: "SELECT * FROM S3Object"},
+			want:   pinnedStats{3510, 40, 640, 40, 3502},
+			result: "0,0,0.00,name-0000,0,quoted, note,1995-03-15,R,O,0.00,DELIVER IN PERSON,TRUCK,,0,N,",
+		},
+		{
+			name:   "header-less positional names",
+			data:   bare,
+			req:    Request{SQL: "SELECT _1, _4 FROM S3Object WHERE _2 = 1 AND _17 IS NULL"},
+			want:   pinnedStats{3510, 40, 640, 6, 76},
+			result: "1,name-0001",
 		},
 		{
 			name:   "header-less count",
@@ -124,11 +132,18 @@ func TestCSVStatsPinned(t *testing.T) {
 		}
 	}
 
-	// Positional names come from the header, so a header-less object
-	// resolves none of them.
-	if _, err := Execute(bare, Request{SQL: "SELECT _1 FROM S3Object"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown column _1") {
-		t.Errorf("header-less _1: err = %v, want unknown column", err)
+	// Without a header, * names its columns by position, as wide as the
+	// widest row; with one, positional names stop at the header's width.
+	res, err := Execute(bare, Request{SQL: "SELECT * FROM S3Object LIMIT 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Columns, ","); got != "_1,_2,_3,_4,_5,_6,_7,_8,_9,_10,_11,_12,_13,_14,_15,_16" {
+		t.Errorf("header-less * columns = %s", got)
+	}
+	if _, err := Execute(wide, Request{SQL: "SELECT _17 FROM S3Object", HasHeader: true}); err == nil ||
+		!strings.Contains(err.Error(), "unknown column _17") {
+		t.Errorf("_17 past a 16-column header: err = %v, want unknown column", err)
 	}
 }
 

@@ -4,11 +4,11 @@
 // hash-join/group-by kernels that process a column of values per step
 // instead of dispatching an expression interpreter per row.
 //
-// Every kernel is a semantic mirror of the corresponding row-at-a-time
-// operator in internal/engine (FilterLocalN, ProjectLocalN, and so on):
-// the same values, the same order, the same errors, at any worker count.
-// The row path stays the reference implementation; the differential and
-// fuzz tests pin the two paths byte-identical.
+// The kernels are the engine's only implementation of its local operators
+// (engine.FilterLocalN, ProjectLocalN, and so on). Each gives the values,
+// order and errors of a sequential row-by-row evaluation, at any worker
+// count; the differential and fuzz tests pin them byte-identical to a
+// naive oracle kept in test code.
 package vec
 
 import "math/bits"

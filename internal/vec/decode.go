@@ -8,15 +8,12 @@ import (
 )
 
 // FromStrings decodes CSV cells straight into typed column vectors: each
-// cell goes through value.FromCSV exactly once (the same typing rule the
-// row path's FromStringsN applies), then each column is laid out typed.
-// ok is false for ragged input, which must keep the row path's
-// short-row lookup semantics.
-func FromStrings(cols []string, rows [][]string, workers int) (*Batch, bool) {
-	for _, r := range rows {
-		if len(r) != len(cols) {
-			return nil, false
-		}
+// cell goes through value.FromCSV exactly once (the typing rule of
+// engine.FromStringsN), then each column is laid out typed. Ragged rows
+// are an error, as in FromRows.
+func FromStrings(cols []string, rows [][]string, workers int) (*Batch, error) {
+	if err := checkRect(rows, len(cols)); err != nil {
+		return nil, err
 	}
 	vecs := make([]*Vector, len(cols))
 	runSpans(colSpans(len(cols), workers), func(w int, sp span) error {
@@ -33,7 +30,7 @@ func FromStrings(cols []string, rows [][]string, workers int) (*Batch, bool) {
 	if len(cols) == 0 {
 		b.n = len(rows)
 	}
-	return b, true
+	return b, nil
 }
 
 // FromColumnar decodes a colformat object (the paper's Fig. 11 columnar

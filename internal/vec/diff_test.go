@@ -4,17 +4,16 @@ import (
 	"fmt"
 	"testing"
 
-	"pushdowndb/internal/engine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
 )
 
-// The differential battery: every kernel must agree with its row-path
-// twin byte-for-byte on data that exercises the value layer's coercion
-// corners — NULLs, NaN, dates, numeric-looking strings, space padding,
-// and mixed-kind (boxed) columns — at several worker counts, including
-// counts that split rows mid-word.
+// The differential battery: every kernel must agree with the naive oracle
+// (oracle_test.go) byte-for-byte on data that exercises the value layer's
+// coercion corners — NULLs, NaN, dates, numeric-looking strings, space
+// padding, and mixed-kind (boxed) columns — at several worker counts,
+// including counts that split rows mid-word.
 
 var workerCounts = []int{1, 2, 3, 7}
 
@@ -82,12 +81,12 @@ func sameVal(a, b value.Value) bool {
 func sameErr(t *testing.T, label string, want, got error) bool {
 	t.Helper()
 	if (want != nil) != (got != nil) {
-		t.Errorf("%s: row err=%v vec err=%v", label, want, got)
+		t.Errorf("%s: oracle err=%v vec err=%v", label, want, got)
 		return false
 	}
 	if want != nil {
 		if want.Error() != got.Error() {
-			t.Errorf("%s: row err=%q vec err=%q", label, want, got)
+			t.Errorf("%s: oracle err=%q vec err=%q", label, want, got)
 		}
 		return false
 	}
@@ -96,27 +95,26 @@ func sameErr(t *testing.T, label string, want, got error) bool {
 
 func TestFromStringsDiff(t *testing.T) {
 	cols, srows := nastyData()
+	want := typed(cols, srows)
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
-		b, ok := vec.FromStrings(cols, srows, w)
-		if !ok {
-			t.Fatalf("w=%d: FromStrings refused rectangular data", w)
+		b, err := vec.FromStrings(cols, srows, w)
+		if err != nil {
+			t.Fatalf("w=%d: FromStrings refused rectangular data: %v", w, err)
 		}
-		if b.Len() != len(rel.Rows) || len(b.Vecs) != len(rel.Cols) {
-			t.Fatalf("w=%d: shape %dx%d want %dx%d", w, b.Len(), len(b.Vecs), len(rel.Rows), len(rel.Cols))
+		if b.Len() != len(want.rows) || len(b.Vecs) != len(cols) {
+			t.Fatalf("w=%d: shape %dx%d want %dx%d", w, b.Len(), len(b.Vecs), len(want.rows), len(cols))
 		}
-		for i := range rel.Rows {
+		for i := range want.rows {
 			for c := range cols {
-				if want, got := rel.Rows[i][c], b.Vecs[c].Value(i); !sameVal(want, got) {
-					t.Fatalf("w=%d: cell[%d][%s]: row=%#v vec=%#v", w, i, cols[c], want, got)
+				if wv, gv := want.rows[i][c], b.Vecs[c].Value(i); !sameVal(wv, gv) {
+					t.Fatalf("w=%d: cell[%d][%s]: oracle=%#v vec=%#v", w, i, cols[c], wv, gv)
 				}
 			}
 		}
 	}
-	// Ragged rows must refuse vectorization: the row path's short rows
-	// produce lookup misses that a rectangular batch cannot reproduce.
+	// A batch has one length per column, so ragged rows are an error.
 	ragged := [][]string{{"1", "2"}, {"3"}}
-	if _, ok := vec.FromStrings([]string{"a", "b"}, ragged, 2); ok {
+	if _, err := vec.FromStrings([]string{"a", "b"}, ragged, 2); err == nil {
 		t.Fatalf("ragged rows vectorized")
 	}
 }
@@ -154,37 +152,27 @@ func TestFilterDiff(t *testing.T) {
 		// constants
 		"1 = 1",
 		"1 = 0 OR flag = 'A'",
-		// fallback shapes (arithmetic, non-literal LIKE pattern — the row
-		// path evaluates the pattern on the first row each worker sees and
-		// caches it; identical spans make that deterministic in both paths)
+		// fallback shapes (arithmetic, a per-row LIKE pattern)
 		"qty + 1 > 25",
 		"id - 1 < 100 AND qty > 24",
 		"name LIKE flag",
 	}
+	tbl := typed(cols, srows)
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, pred := range preds {
 			label := fmt.Sprintf("w=%d pred=%q", w, pred)
-			want, wantErr := engine.FilterLocalN(rel, pred, w)
 			pe, perr := sqlparse.ParseExpr(pred)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
+			want, wantErr := oracleFilter(tbl, pe)
 			idx, gotErr := vec.Filter(b, pe, w)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
 			}
-			if len(idx) != len(want.Rows) {
-				t.Errorf("%s: kept %d rows, row path kept %d", label, len(idx), len(want.Rows))
-				continue
-			}
-			for r, i := range idx {
-				for c := range cols {
-					if wv, gv := want.Rows[r][c], b.Vecs[c].Value(i); !sameVal(wv, gv) {
-						t.Fatalf("%s: row %d col %s: row=%#v vec=%#v", label, r, cols[c], wv, gv)
-					}
-				}
+			if fmt.Sprint(idx) != fmt.Sprint(want) {
+				t.Errorf("%s: kept rows %v, oracle kept %v", label, idx, want)
 			}
 		}
 	}
@@ -192,19 +180,17 @@ func TestFilterDiff(t *testing.T) {
 
 func TestFilterErrDiff(t *testing.T) {
 	cols, srows := nastyData()
-	rel := engine.FromStringsN(cols, srows, 3)
 	b, _ := vec.FromStrings(cols, srows, 3)
-	// NOT over a non-boolean column errors in the evaluator; the vec path
-	// must fall back and surface the identical first-in-worker-order error.
-	pred := "NOT name"
-	_, wantErr := engine.FilterLocalN(rel, pred, 3)
-	pe, err := sqlparse.ParseExpr(pred)
+	// NOT over a non-boolean column errors in the evaluator; the kernel
+	// must surface the error of the first failing row.
+	pe, err := sqlparse.ParseExpr("NOT name")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, wantErr := oracleFilter(typed(cols, srows), pe)
 	_, gotErr := vec.Filter(b, pe, 3)
 	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-		t.Fatalf("row err=%v vec err=%v", wantErr, gotErr)
+		t.Fatalf("oracle err=%v vec err=%v", wantErr, gotErr)
 	}
 }
 
@@ -218,36 +204,21 @@ func TestProjectDiff(t *testing.T) {
 		"'x' AS lit, id",
 		"ship, mix, name",
 	}
+	tbl := typed(cols, srows)
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, items := range itemLists {
 			label := fmt.Sprintf("w=%d items=%q", w, items)
-			want, wantErr := engine.ProjectLocalN(rel, items, w)
 			sel, perr := sqlparse.Parse("SELECT " + items + " FROM t")
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
+			wantCols, wantRows, wantErr := oracleProject(tbl, sel)
 			out, gotErr := vec.Project(b, sel, w)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
 			}
-			if fmt.Sprint(out.Cols) != fmt.Sprint(want.Cols) {
-				t.Errorf("%s: cols %v want %v", label, out.Cols, want.Cols)
-				continue
-			}
-			rows := out.ToRows()
-			if len(rows) != len(want.Rows) {
-				t.Errorf("%s: %d rows want %d", label, len(rows), len(want.Rows))
-				continue
-			}
-			for i := range rows {
-				for c := range want.Cols {
-					if !sameVal(want.Rows[i][c], rows[i][c]) {
-						t.Fatalf("%s: cell[%d][%d]: row=%#v vec=%#v", label, i, c, want.Rows[i][c], rows[i][c])
-					}
-				}
-			}
+			sameRows(t, label, wantCols, wantRows, out.Cols, out.ToRows())
 		}
 	}
 }
@@ -261,36 +232,21 @@ func TestGroupByDiff(t *testing.T) {
 		{"mix", "mix, SUM(id) AS s"},
 		{"flag", "flag, SUM(qty + 1) AS s1, AVG(qty) AS aq"},
 	}
+	tbl := typed(cols, srows)
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, tc := range cases {
 			label := fmt.Sprintf("w=%d group=%q items=%q", w, tc.groupBy, tc.items)
-			want, wantErr := engine.GroupByLocalN(rel, tc.groupBy, tc.items, w)
 			sel, perr := sqlparse.Parse("SELECT " + tc.items + " FROM t GROUP BY " + tc.groupBy)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
+			wantCols, wantRows, wantErr := oracleGroupBy(tbl, sel)
 			gotCols, gotRows, gotErr := vec.GroupBy(b, sel, w)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
 			}
-			if fmt.Sprint(gotCols) != fmt.Sprint(want.Cols) {
-				t.Errorf("%s: cols %v want %v", label, gotCols, want.Cols)
-				continue
-			}
-			if len(gotRows) != len(want.Rows) {
-				t.Errorf("%s: %d groups want %d", label, len(gotRows), len(want.Rows))
-				continue
-			}
-			for i := range gotRows {
-				for c := range want.Cols {
-					if !sameVal(want.Rows[i][c], gotRows[i][c]) {
-						t.Fatalf("%s: group %d col %s: row=%#v vec=%#v",
-							label, i, want.Cols[c], want.Rows[i][c], gotRows[i][c])
-					}
-				}
-			}
+			sameRows(t, label, wantCols, wantRows, gotCols, gotRows)
 		}
 	}
 }
@@ -311,32 +267,16 @@ func TestJoinPairsDiff(t *testing.T) {
 		}
 		rrows = append(rrows, []string{rid, fmt.Sprintf("tag%d", i)})
 	}
+	left, right := typed(cols, srows), typed(rcols, rrows)
 	for _, w := range workerCounts {
-		left := engine.FromStringsN(cols, srows, w)
-		right := engine.FromStringsN(rcols, rrows, w)
 		lb, _ := vec.FromStrings(cols, srows, w)
 		rb, _ := vec.FromStrings(rcols, rrows, w)
 		for _, key := range []string{"id", "mix"} {
 			label := fmt.Sprintf("w=%d key=%s", w, key)
-			want, err := engine.HashJoinLocalN(left, right, key, "rid", w)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			wantB, wantP := oracleJoin(left.column(lb.ColIndex(key)), right.column(0))
 			bi, pi := vec.JoinPairs(lb.Vecs[lb.ColIndex(key)], rb.Vecs[rb.ColIndex("rid")], w)
-			if len(bi) != len(want.Rows) {
-				t.Fatalf("%s: %d pairs, row path %d", label, len(bi), len(want.Rows))
-			}
-			for k := range bi {
-				for c := range cols {
-					if !sameVal(want.Rows[k][c], lb.Vecs[c].Value(bi[k])) {
-						t.Fatalf("%s: pair %d left col %s mismatch", label, k, cols[c])
-					}
-				}
-				for c := range rcols {
-					if !sameVal(want.Rows[k][len(cols)+c], rb.Vecs[c].Value(pi[k])) {
-						t.Fatalf("%s: pair %d right col %s mismatch", label, k, rcols[c])
-					}
-				}
+			if fmt.Sprint(bi, pi) != fmt.Sprint(wantB, wantP) {
+				t.Errorf("%s: pairs %v %v, oracle %v %v", label, bi, pi, wantB, wantP)
 			}
 		}
 	}
@@ -344,23 +284,41 @@ func TestJoinPairsDiff(t *testing.T) {
 
 func TestEmptyRelations(t *testing.T) {
 	cols := []string{"a", "b"}
-	rel := engine.FromStringsN(cols, nil, 3)
-	b, ok := vec.FromStrings(cols, nil, 3)
-	if !ok || b.Len() != 0 {
-		t.Fatalf("empty FromStrings: ok=%v len=%d", ok, b.Len())
+	b, err := vec.FromStrings(cols, nil, 3)
+	if err != nil || b.Len() != 0 {
+		t.Fatalf("empty FromStrings: err=%v len=%d", err, b.Len())
 	}
 	pe, _ := sqlparse.ParseExpr("a > 1")
 	idx, err := vec.Filter(b, pe, 3)
 	if err != nil || len(idx) != 0 {
 		t.Fatalf("empty filter: idx=%v err=%v", idx, err)
 	}
-	want, _ := engine.GroupByLocalN(rel, "a", "a, COUNT(*) AS n", 3)
 	sel, _ := sqlparse.Parse("SELECT a, COUNT(*) AS n FROM t GROUP BY a")
+	wantCols, wantRows, _ := oracleGroupBy(table{cols: cols}, sel)
 	gotCols, gotRows, err := vec.GroupBy(b, sel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotRows) != len(want.Rows) || fmt.Sprint(gotCols) != fmt.Sprint(want.Cols) {
-		t.Fatalf("empty group-by: %v/%v want %v/%v", gotCols, gotRows, want.Cols, want.Rows)
+	sameRows(t, "empty group-by", wantCols, wantRows, gotCols, gotRows)
+}
+
+// sameRows fails unless the kernel's output has the oracle's columns and
+// byte-identical rows in the same order.
+func sameRows(t *testing.T, label string, wantCols []string, want [][]value.Value, gotCols []string, got [][]value.Value) {
+	t.Helper()
+	if fmt.Sprint(gotCols) != fmt.Sprint(wantCols) {
+		t.Errorf("%s: cols %v want %v", label, gotCols, wantCols)
+		return
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: %d rows want %d", label, len(got), len(want))
+		return
+	}
+	for i := range got {
+		for c := range wantCols {
+			if !sameVal(want[i][c], got[i][c]) {
+				t.Fatalf("%s: cell[%d][%s]: oracle=%#v vec=%#v", label, i, wantCols[c], want[i][c], got[i][c])
+			}
+		}
 	}
 }

@@ -15,10 +15,9 @@ import (
 // every leaf is a supported shape (column/literal comparisons, BETWEEN,
 // IN over literals, IS NULL, LIKE, and AND/OR/NOT over those). Compiled
 // leaves cannot error, so evaluating them eagerly over the whole batch
-// preserves the row path's short-circuit semantics exactly. Any other
-// shape makes the whole predicate fall back to per-row evaluation with
-// the shared expression interpreter, which reproduces the row path's
-// behavior — including its errors — verbatim.
+// preserves row-by-row short-circuit semantics exactly. Any other shape
+// makes the whole predicate fall back to per-row evaluation with the
+// shared expression interpreter, errors included.
 
 // node is one compiled predicate: three-valued logic as a (true, null)
 // bitmap pair; false is the remainder.
@@ -29,7 +28,7 @@ type node struct {
 }
 
 // Filter evaluates pred over the batch and returns the kept row indexes,
-// ascending — the selection the row path's FilterLocalN would keep.
+// ascending.
 func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
 	n := b.Len()
 	if root, post, ok := compilePred(pred, b); ok {
@@ -41,8 +40,8 @@ func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
 		})
 		return root.t.Indices(), nil
 	}
-	// Whole-predicate fallback: the same spans, evaluator and first-error
-	// contract as FilterLocalN.
+	// Whole-predicate fallback: per-span evaluators, and the first error
+	// in row order.
 	sps := rowSpans(n, workers)
 	kept := make([][]int, len(sps))
 	err := runSpans(sps, func(w int, sp span) error {
@@ -133,7 +132,7 @@ func compilePred(e sqlparse.Expr, b *Batch) (root *node, post []*node, ok bool) 
 
 // evalLogic combines two children with Kleene AND/OR at word granularity.
 // Operands are predicate results, so their domain is {true, false, null}
-// — exactly the domain the row path's AND/OR sees for compilable shapes.
+// — exactly the domain the interpreter's AND/OR sees for compilable shapes.
 func evalLogic(nd *node, lo, hi int, isAnd bool) {
 	lw, hw := lo>>6, (hi+63)>>6
 	at, an := nd.a.t.words, nd.a.n.words
@@ -182,7 +181,7 @@ func compileOperand(e sqlparse.Expr, b *Batch) (operand, bool) {
 	case *sqlparse.Literal:
 		return operand{lit: t.Val}, true
 	case *sqlparse.Column:
-		// Qualifiers are ignored, as in the row path's Env lookup.
+		// Qualifiers are ignored, as in the engine's Env lookup.
 		j := b.ColIndex(t.Name)
 		if j < 0 {
 			return operand{}, false
@@ -543,8 +542,7 @@ func compileLike(t *sqlparse.Like, b *Batch, alloc func(func(*node, int, int)) *
 }
 
 // compileBoolColumn compiles a bare boolean column used as a predicate.
-// Non-boolean bare columns are left to the fallback, which reproduces the
-// row path's behavior for those shapes.
+// Non-boolean bare columns are left to the per-row fallback.
 func compileBoolColumn(t *sqlparse.Column, b *Batch, alloc func(func(*node, int, int)) *node) *node {
 	j := b.ColIndex(t.Name)
 	if j < 0 {

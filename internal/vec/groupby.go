@@ -9,11 +9,10 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// GroupBy mirrors the row path's GroupByLocalN over a batch: contiguous
-// worker spans each build a partial group map, partials merge in worker
-// order (reproducing the sequential first-seen group order), and the
-// aggregate states are the exact big.Float accumulators the row path
-// uses. The speedup comes from rendering group keys straight from typed
+// GroupBy groups a batch by sel's GROUP BY and evaluates its items:
+// contiguous worker spans each build a partial group map, partials merge
+// in worker order (reproducing the sequential first-seen group order),
+// and the aggregate states are expr's exact big.Float accumulators. The speedup comes from rendering group keys straight from typed
 // payloads and feeding aggregate inputs without per-row environment
 // lookups. Returns the output column names and rows.
 func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.Value, error) {
@@ -203,7 +202,8 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 	return cols, rows, nil
 }
 
-// itemName mirrors the row path's output-column naming.
+// itemName is an output column's name: alias, bare column name, or the
+// item's SQL text.
 func itemName(it sqlparse.SelectItem) string {
 	if it.Alias != "" {
 		return it.Alias
@@ -214,8 +214,8 @@ func itemName(it sqlparse.SelectItem) string {
 	return it.Expr.String()
 }
 
-// groupKeyEnv mirrors the row path's group-key environment: finalization
-// resolves bare group-by columns to the group's key values.
+// groupKeyEnv is the group-key environment: finalization resolves bare
+// group-by columns to the group's key values.
 type groupKeyEnv struct {
 	exprs []sqlparse.Expr
 	vals  []value.Value

@@ -5,11 +5,11 @@ import (
 )
 
 // JoinPairs runs the hash-join build+probe kernel over two key vectors
-// and returns the matched (build, probe) index pairs in the row path's
-// exact output order: probe rows ascending, and for each probe row its
-// build matches ascending. Hashing and equality go through the same
-// value.Hash/value.Equal the row path uses, so hash collisions and
-// numeric-vs-string key coercions behave identically.
+// and returns the matched (build, probe) index pairs in nested-loop
+// order: probe rows ascending, and for each probe row its build matches
+// ascending. Hashing and equality go through value.Hash/value.Equal, so
+// hash collisions and numeric-vs-string key coercions follow the value
+// package's rules.
 func JoinPairs(build, probe *Vector, workers int) (bi, pi []int) {
 	buildSpans := rowSpans(build.Len(), workers)
 	partMaps := make([]map[uint64][]int, len(buildSpans))
@@ -31,8 +31,7 @@ func JoinPairs(build, probe *Vector, workers int) (bi, pi []int) {
 		for _, m := range partMaps[1:] {
 			// Deterministic despite map iteration: per-worker index lists are
 			// ascending and merge in span order, so table[h] is ascending
-			// regardless of which key merges first (same argument as the row
-			// path's build merge).
+			// regardless of which key merges first.
 			//lint:ignore mapdeterminism per-key append order is fixed by the worker-span order, not the map order
 			for h, idxs := range m {
 				table[h] = append(table[h], idxs...)

@@ -2,14 +2,13 @@ package vec
 
 import "sync"
 
-// span is one worker's contiguous half-open range [lo, hi). Row-range
-// partitioning mirrors engine.rowSpans exactly: result order never
-// depends on the split, and the error surfaced by a fallback evaluation
-// (first error in worker order) matches the row path's.
+// span is one worker's contiguous half-open range [lo, hi). Result order
+// never depends on the split, and the error a per-row evaluation surfaces
+// (first error in worker order) is the first failing row's.
 type span struct{ lo, hi int }
 
 // rowSpans partitions n rows into at most workers contiguous spans of
-// near-equal size, ascending; identical to the row path's partitioning.
+// near-equal size, ascending (the same split as engine.rowSpans).
 func rowSpans(n, workers int) []span {
 	if workers < 1 {
 		workers = 1
@@ -55,7 +54,7 @@ func alignedSpans(n, workers int) []span {
 func colSpans(cols, workers int) []span { return rowSpans(cols, workers) }
 
 // runSpans executes fn over every span, one goroutine per span, returning
-// the first error in span order — the same contract as the row path's.
+// the first error in span order.
 func runSpans(sps []span, fn func(w int, sp span) error) error {
 	if len(sps) == 0 {
 		return nil

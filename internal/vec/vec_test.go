@@ -177,15 +177,19 @@ func TestBatchColIndex(t *testing.T) {
 func TestFromRowsRagged(t *testing.T) {
 	rows := [][]value.Value{
 		{value.Int(1), value.Int(2)},
-		{value.Int(3)}, // short row: the row path would miss lookups here
+		{value.Int(3)}, // short row: a batch has one length per column
 	}
-	if _, ok := FromRows([]string{"a", "b"}, rows, 2); ok {
-		t.Fatalf("ragged rows must refuse vectorization")
+	const want = "ragged relation: row 1 has 1 values, want 2"
+	if _, err := FromRows([]string{"a", "b"}, rows, 2); err == nil || err.Error() != want {
+		t.Fatalf("ragged FromRows: err = %v, want %q", err, want)
+	}
+	if _, err := FromRowsProjected([]string{"a", "b"}, rows, []int{0}, 2); err == nil || err.Error() != want {
+		t.Fatalf("ragged FromRowsProjected: err = %v, want %q", err, want)
 	}
 	rows[1] = []value.Value{value.Int(3), value.Int(4)}
-	b, ok := FromRows([]string{"a", "b"}, rows, 2)
-	if !ok {
-		t.Fatalf("rectangular rows refused")
+	b, err := FromRows([]string{"a", "b"}, rows, 2)
+	if err != nil {
+		t.Fatalf("rectangular rows refused: %v", err)
 	}
 	if b.Len() != 2 || len(b.Vecs) != 2 {
 		t.Fatalf("batch shape %d x %d", b.Len(), len(b.Vecs))

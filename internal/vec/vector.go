@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"strings"
 
 	"pushdowndb/internal/value"
@@ -42,8 +43,8 @@ func (v *Vector) IsNull(i int) bool {
 
 // Value reconstructs row i as the exact value.Value the column was built
 // from. The returned struct is stack-allocated, so Value-based fallbacks
-// in the kernels are allocation-free and byte-identical to the row path
-// by construction.
+// in the kernels are allocation-free and byte-identical to the input
+// values by construction.
 func (v *Vector) Value(i int) value.Value {
 	if v.Boxed != nil {
 		return v.Boxed[i]
@@ -219,7 +220,7 @@ func (b *Batch) ColIndex(name string) int {
 		return i
 	}
 	// ToLower and EqualFold can disagree on exotic Unicode; fall back to
-	// the row path's exact rule so resolution never diverges.
+	// Relation.ColIndex's exact rule so resolution never diverges.
 	for i, c := range b.Cols {
 		if strings.EqualFold(c, name) {
 			return i
@@ -228,16 +229,13 @@ func (b *Batch) ColIndex(name string) int {
 	return -1
 }
 
-// FromRows builds a batch from row-major values. ok is false when the
-// rows are ragged (some row length differs from the column count); ragged
-// relations keep the row path's lookup-miss semantics, so callers must
-// fall back to row-at-a-time execution. Generic over the row type so the
-// engine's []Row passes without reslicing.
-func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, bool) {
-	for _, r := range rows {
-		if len(r) != len(cols) {
-			return nil, false
-		}
+// FromRows builds a batch from row-major values. Every row must hold
+// len(cols) values; a batch has one length per column, so ragged rows are
+// an error. Generic over the row type so the engine's []Row passes
+// without reslicing.
+func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, error) {
+	if err := checkRect(rows, len(cols)); err != nil {
+		return nil, err
 	}
 	vecs := make([]*Vector, len(cols))
 	runSpans(colSpans(len(cols), workers), func(w int, sp span) error {
@@ -250,7 +248,18 @@ func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, b
 	if len(cols) == 0 {
 		b.n = len(rows)
 	}
-	return b, true
+	return b, nil
+}
+
+// checkRect returns an error naming the first row that does not hold
+// exactly width values.
+func checkRect[R ~[]E, E any](rows []R, width int) error {
+	for i, r := range rows {
+		if len(r) != width {
+			return fmt.Errorf("ragged relation: row %d has %d values, want %d", i, len(r), width)
+		}
+	}
+	return nil
 }
 
 // columnVector builds one column's vector straight from row-major input —
@@ -327,14 +336,11 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 // FromRowsProjected is FromRows restricted to columns keep (indices into
 // allCols): only those columns are decoded into vectors, which is what
 // makes vectorized filtering cheap on wide relations — a predicate over 2
-// of 16 columns converts 2, not 16. The raggedness contract is FromRows':
-// every row must span all of allCols, or ok is false and the caller falls
-// back to the row path.
-func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) (*Batch, bool) {
-	for _, r := range rows {
-		if len(r) != len(allCols) {
-			return nil, false
-		}
+// of 16 columns converts 2, not 16. Every row must still span all of
+// allCols, as in FromRows.
+func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) (*Batch, error) {
+	if err := checkRect(rows, len(allCols)); err != nil {
+		return nil, err
 	}
 	cols := make([]string, len(keep))
 	vecs := make([]*Vector, len(keep))
@@ -348,7 +354,7 @@ func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int,
 	})
 	b := NewBatch(cols, vecs)
 	b.n = len(rows)
-	return b, true
+	return b, nil
 }
 
 // ToRows materializes the batch row-major.
